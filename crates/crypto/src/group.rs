@@ -77,6 +77,26 @@ impl fmt::Display for GroupId {
     }
 }
 
+impl GroupId {
+    /// Every preset, smallest first.
+    pub const ALL: [GroupId; 4] = [GroupId::Toy64, GroupId::S256, GroupId::S512, GroupId::S1024];
+}
+
+/// The inverse of `Display`: parses a preset name (`toy64`, `s256`, ...).
+impl std::str::FromStr for GroupId {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        GroupId::ALL
+            .into_iter()
+            .find(|g| g.to_string() == s)
+            .ok_or_else(|| {
+                let names: Vec<String> = GroupId::ALL.iter().map(ToString::to_string).collect();
+                format!("unknown group {s} (want {})", names.join(" | "))
+            })
+    }
+}
+
 /// A Schnorr group: the order-`q` subgroup of `Z_p^*` generated by `g`.
 ///
 /// Cheap to clone (internally `Arc`-shared parameters).
@@ -512,7 +532,7 @@ mod tests {
     #[test]
     fn constants_are_valid_groups() {
         let mut rng = StdRng::seed_from_u64(42);
-        for id in [GroupId::Toy64, GroupId::S256, GroupId::S512, GroupId::S1024] {
+        for id in GroupId::ALL {
             let grp = Group::new(id);
             assert!(grp.p().is_probable_prime(16, &mut rng), "{id}: p prime");
             assert!(grp.q().is_probable_prime(16, &mut rng), "{id}: q prime");
@@ -523,6 +543,15 @@ mod tests {
             assert!(!grp.g().is_one(), "{id}: g != 1");
             assert!(grp.exp_g(grp.q()).is_one(), "{id}: g^q = 1");
         }
+    }
+
+    #[test]
+    fn group_id_name_round_trip() {
+        for id in GroupId::ALL {
+            assert_eq!(id.to_string().parse::<GroupId>(), Ok(id));
+        }
+        assert!("S256".parse::<GroupId>().is_err());
+        assert!("".parse::<GroupId>().is_err());
     }
 
     #[test]

@@ -49,5 +49,5 @@ pub use frame::{encode_frame, FrameDecoder, FrameError, MAX_FRAME};
 pub use msg::{Alarm, HealthBeacon, NetMsg, NodeReport, Severity};
 pub use status::{LiveState, StatusConn, TraceAssembler, TraceSpec};
 pub use peer::{AddrPlan, Conn, Endpoint, NetListener, NetStream};
-pub use proxy::{run_proxy, ChaosNetSpec, Partition, Proxy, ProxyConfig, ProxyStats};
+pub use proxy::{run_proxy, ChaosNetSpec, PartitionWindow, Proxy, ProxyConfig, ProxyStats};
 pub use state::{Load, StateDir, Watermark};

@@ -37,13 +37,52 @@ const PENDING_CAP: usize = 4096;
 /// groups (`id <= split` vs `id > split`) are held and released when the
 /// partition heals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Partition {
+pub struct PartitionWindow {
     /// First partitioned round.
     pub start: u64,
     /// First healed round.
     pub end: u64,
     /// Largest node id of the first group.
     pub split: u32,
+}
+
+/// `start:end:split`, the inverse of the `FromStr` impl.
+impl std::fmt::Display for PartitionWindow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}:{}:{}", self.start, self.end, self.split)
+    }
+}
+
+/// Parses `start:end:split` strictly: exactly three integer fields, a
+/// non-empty window (`start < end`) and a non-empty first group
+/// (`split >= 1`). Whether the second group is non-empty depends on `n`,
+/// which the caller checks.
+impl std::str::FromStr for PartitionWindow {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        let bad = || format!("bad partition '{s}' (want start:end:split)");
+        let mut fields = s.split(':');
+        let (Some(start), Some(end), Some(split), None) =
+            (fields.next(), fields.next(), fields.next(), fields.next())
+        else {
+            return Err(bad());
+        };
+        let w = PartitionWindow {
+            start: start.parse().map_err(|_| bad())?,
+            end: end.parse().map_err(|_| bad())?,
+            split: split.parse().map_err(|_| bad())?,
+        };
+        if w.start >= w.end {
+            return Err(format!("partition '{s}' is empty: start must be below end"));
+        }
+        if w.split == 0 {
+            return Err(format!(
+                "partition '{s}' leaves the first group empty (split >= 1)"
+            ));
+        }
+        Ok(w)
+    }
 }
 
 /// Deterministic chaos parameters. All percentages are per *frame*, decided
@@ -67,7 +106,7 @@ pub struct ChaosNetSpec {
     /// dead socket, and must redial and re-handshake.
     pub reset_pct: u8,
     /// Optional partition window.
-    pub partition: Option<Partition>,
+    pub partition: Option<PartitionWindow>,
 }
 
 impl ChaosNetSpec {
@@ -580,7 +619,7 @@ mod tests {
     #[test]
     fn partition_blocks_cross_group_only() {
         let spec = ChaosNetSpec {
-            partition: Some(Partition {
+            partition: Some(PartitionWindow {
                 start: 10,
                 end: 20,
                 split: 3,
@@ -595,6 +634,23 @@ mod tests {
         // Outside the window: untouched.
         assert_eq!(spec.decide(20, NodeId(1), NodeId(5), 0).delay_rounds, 0);
         assert_eq!(spec.decide(9, NodeId(1), NodeId(5), 0).delay_rounds, 0);
+    }
+
+    #[test]
+    fn partition_window_parses_strictly() {
+        let w: PartitionWindow = "4:12:2".parse().unwrap();
+        assert_eq!((w.start, w.end, w.split), (4, 12, 2));
+        assert_eq!(w.to_string(), "4:12:2");
+        for bad in [
+            "4:x:12:2",
+            "4:12",
+            "4:12:2:",
+            "12:4:2",
+            "4:12:0",
+            "4:12:4294967296",
+        ] {
+            assert!(bad.parse::<PartitionWindow>().is_err(), "{bad}");
+        }
     }
 
     #[test]
