@@ -56,14 +56,18 @@ cargo test -q -p proauth-tests --release --test hierarchy -- --ignored
 cargo bench -p proauth-bench --bench e7_partition
 
 # Daemon smoke: n = 5 real node processes plus the chaos proxy over Unix
-# sockets, 2 units (so one full proactive refresh) with delay/dup/reorder
-# within budget, verified against the in-process engine (--check: certified
-# keys equal, zero forgeries, every node completes every round) and bounded
-# by a hard timeout so a wedged socket loop fails the gate instead of
-# hanging it. Clean shutdown is part of the check: the orchestrator reaps
-# every child and exits nonzero if any hung or died.
+# sockets, 2 units (so one full proactive refresh) with delay/dup, verified
+# against the in-process engine under the same chaos spec (--check:
+# certified keys equal, zero forgeries, every node completes every round,
+# and — no kills, no socket resets — every node-emitted output event
+# bit-identical) and bounded by a hard timeout so a wedged socket loop fails
+# the gate instead of hanging it. Clean shutdown is part of the check: the
+# orchestrator reaps every child and exits nonzero if any hung or died.
+SMOKE_LOG=$(mktemp /tmp/proauth-smoke.XXXXXX)
 timeout 300 cargo run -q --release -p proauth-examples --bin proauth -- \
-    daemon --n 5 --units 2 --delay 20 --dup 5 --reorder 5 --round-ms 2000 --check
+    daemon --n 5 --units 2 --delay 20 --dup 5 --round-ms 2000 --check | tee "$SMOKE_LOG"
+grep -q "bit-identical" "$SMOKE_LOG"
+rm -f "$SMOKE_LOG"
 
 # E13 signing-service smoke on both engine legs: the open-loop workload,
 # session table, nonce pool, and batch-verify window must hold their
@@ -102,7 +106,8 @@ rm -rf "$OBS_DIR"
 # JSON snapshot and the recovery-latency histogram in the Prometheus view
 # must be non-empty once the first respawn heals. The run itself must still
 # verify against the in-process engine (--check: certified keys equal, zero
-# forgeries, every node completes every round).
+# forgeries, every node completes every round); kills keep it to this
+# contract check, since a rejoined node's log is not bit-comparable.
 HEAL_DIR=$(mktemp -d /tmp/proauth-heal.XXXXXX)
 timeout 600 cargo run -q --release -p proauth-examples --bin proauth -- \
     daemon --n 13 --units 4 --normal 8 --round-ms 200 --delay 5 --dup 3 \

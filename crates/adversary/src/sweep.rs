@@ -14,10 +14,10 @@
 //!   raised and the report says which guarantee gave way.
 //!
 //! The sweep is deterministic: every fault decision comes from the compiled
-//! [`proauth_sim::chaos::FaultSchedule`] or keyed per-round RNG, so a
-//! `(config, seed)` pair
-//! yields the same `Vec<SweepPoint>` on every run and every worker-pool
-//! size.
+//! [`proauth_sim::chaos::FaultSchedule`], the SHA-256-keyed
+//! [`proauth_sim::chaos::ChaosSpec::fate`], or the [`Reorderer`]'s keyed
+//! per-round RNG, so a `(config, seed)` pair yields the same
+//! `Vec<SweepPoint>` on every run and every worker-pool size.
 
 use std::fmt;
 
@@ -25,14 +25,15 @@ use proauth_core::authenticator::HeartbeatApp;
 use proauth_core::uls::{uls_schedule, UlsConfig, UlsNode, SETUP_ROUNDS};
 use proauth_crypto::group::{Group, GroupId};
 use proauth_pds::ideal::IdealChecker;
-use proauth_sim::adversary::FaithfulUl;
-use proauth_sim::chaos::{ChaosConfig, ChaosNet};
+use proauth_sim::adversary::{FaithfulUl, UlAdversary};
+use proauth_sim::chaos::{ChaosNet, ChaosSpec, CrashConfig};
 use proauth_sim::message::NodeId;
-use proauth_sim::runner::{run_ul, SimConfig};
+use proauth_sim::runner::{run_ul, SimConfig, SimResult};
 use proauth_sim::Telemetry;
 use proauth_telemetry::HIST_BOUNDS_VALUE;
 
 use crate::limits::LimitObserver;
+use crate::strategies::{Composed, Reorderer};
 
 /// One step of a degradation sweep: a crash budget plus delivery-fault
 /// pressure. Steps with `max_down <= t` are intended to stay inside the
@@ -41,17 +42,17 @@ use crate::limits::LimitObserver;
 pub struct Intensity {
     /// Human-readable step name for reports.
     pub label: &'static str,
-    /// Cap on simultaneously crashed nodes (`ChaosConfig::max_down`).
+    /// Cap on simultaneously crashed nodes (`CrashConfig::max_down`).
     pub max_down: usize,
     /// Per-node per-round background crash probability.
     pub crash_p: f64,
     /// Crash probability at each refreshment phase boundary.
     pub boundary_crash_p: f64,
-    /// Per-message delay probability.
-    pub delay_p: f64,
-    /// Per-message duplication probability.
-    pub dup_p: f64,
-    /// Shuffle delivery order within each inbox.
+    /// Percent of messages delayed by one round.
+    pub delay_pct: u8,
+    /// Percent of messages duplicated.
+    pub dup_pct: u8,
+    /// Shuffle delivery order within each inbox (a composed [`Reorderer`]).
     pub reorder: bool,
 }
 
@@ -63,8 +64,8 @@ impl Intensity {
             max_down: 0,
             crash_p: 0.0,
             boundary_crash_p: 0.0,
-            delay_p: 0.0,
-            dup_p: 0.0,
+            delay_pct: 0,
+            dup_pct: 0,
             reorder: false,
         }
     }
@@ -113,8 +114,8 @@ impl SweepConfig {
                     max_down: 1,
                     crash_p: 0.01,
                     boundary_crash_p: 0.35,
-                    delay_p: 0.0,
-                    dup_p: 0.0,
+                    delay_pct: 0,
+                    dup_pct: 0,
                     reorder: true,
                 },
                 Intensity {
@@ -122,8 +123,8 @@ impl SweepConfig {
                     max_down: t + 1,
                     crash_p: 0.04,
                     boundary_crash_p: 1.0,
-                    delay_p: 0.03,
-                    dup_p: 0.03,
+                    delay_pct: 3,
+                    dup_pct: 3,
                     reorder: true,
                 },
             ],
@@ -247,7 +248,7 @@ fn run_point(cfg: &SweepConfig, intensity: &Intensity) -> SweepPoint {
     // compiled schedule provably never impairs more than `max_down` nodes in
     // any unit.
     let restart_after = schedule.refresh_rounds() + 2;
-    let chaos = ChaosConfig {
+    let crash = CrashConfig {
         crash_p: intensity.crash_p,
         boundary_crash_p: intensity.boundary_crash_p,
         restart_after: Some(restart_after),
@@ -257,25 +258,21 @@ fn run_point(cfg: &SweepConfig, intensity: &Intensity) -> SweepPoint {
         } else {
             None
         },
-        delay_p: intensity.delay_p,
-        dup_p: intensity.dup_p,
-        reorder: intensity.reorder,
-        target: None,
     };
-    let mut adv = LimitObserver::new(ChaosNet::compile(
-        FaithfulUl,
-        chaos,
-        cfg.n,
-        sim.total_rounds,
-        &schedule,
-        cfg.seed ^ 0xC4A0_5EED,
-    ));
-
-    let (n, t) = (cfg.n, cfg.t);
-    let group = Group::new(GroupId::Toy64);
-    let make_node =
-        move |id: NodeId| UlsNode::new(UlsConfig::new(group.clone(), n, t), id, HeartbeatApp::default());
-    let result = run_ul(sim, make_node, &mut adv);
+    let spec = ChaosSpec {
+        seed: cfg.seed ^ 0xC4A0_5EED,
+        delay_pct: intensity.delay_pct,
+        delay_max: 1,
+        dup_pct: intensity.dup_pct,
+        ..ChaosSpec::faithful()
+    };
+    let chaos = ChaosNet::compile(FaithfulUl, spec, &crash, cfg.n, sim.total_rounds, &schedule);
+    let (result, max_impaired) = if intensity.reorder {
+        let second = Reorderer::new(spec.seed);
+        run_observed(cfg, sim, Composed { first: chaos, second })
+    } else {
+        run_observed(cfg, sim, chaos)
+    };
 
     let forgeries = IdealChecker::new(cfg.t)
         .check_no_forgery(&result.outputs, &[])
@@ -291,7 +288,6 @@ fn run_point(cfg: &SweepConfig, intensity: &Intensity) -> SweepPoint {
                 h.quantile_bounded(&HIST_BOUNDS_VALUE, 0.99),
             )
         });
-    let max_impaired = adv.max_impaired();
 
     SweepPoint {
         label: intensity.label,
@@ -312,6 +308,18 @@ fn run_point(cfg: &SweepConfig, intensity: &Intensity) -> SweepPoint {
         messages_sent: result.stats.messages_sent,
         messages_delivered: result.stats.messages_delivered,
     }
+}
+
+/// Runs the sweep's ULS stack under `adv`, observed for Definition-7
+/// ground truth; returns the result and the peak per-unit impairment.
+fn run_observed(cfg: &SweepConfig, sim: SimConfig, adv: impl UlAdversary) -> (SimResult, usize) {
+    let (n, t) = (cfg.n, cfg.t);
+    let group = Group::new(GroupId::Toy64);
+    let make_node =
+        move |id: NodeId| UlsNode::new(UlsConfig::new(group.clone(), n, t), id, HeartbeatApp::default());
+    let mut adv = LimitObserver::new(adv);
+    let result = run_ul(sim, make_node, &mut adv);
+    (result, adv.max_impaired())
 }
 
 #[cfg(test)]

@@ -86,6 +86,7 @@ fn beacon() -> HealthBeacon {
         lag_ms: 3,
         inbox_depth: 24,
         late_frames: 2,
+        delayed_frames: 2,
         mark_timeouts: 0,
         peers_live: 12,
         sent_round: 36,

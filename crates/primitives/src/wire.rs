@@ -39,6 +39,8 @@ pub enum WireError {
     InvalidUtf8,
     /// A declared length exceeds the remaining input.
     BadLength,
+    /// A field's value lies outside its domain.
+    OutOfRange,
 }
 
 impl fmt::Display for WireError {
@@ -49,6 +51,7 @@ impl fmt::Display for WireError {
             WireError::InvalidTag(t) => write!(f, "invalid tag byte {t}"),
             WireError::InvalidUtf8 => write!(f, "invalid utf-8 in string field"),
             WireError::BadLength => write!(f, "declared length exceeds input"),
+            WireError::OutOfRange => write!(f, "field value out of range"),
         }
     }
 }

@@ -41,7 +41,7 @@ pub mod workload;
 pub use proauth_telemetry as telemetry;
 
 pub use adversary::{AlAdversary, BreakPlan, NetView, UlAdversary};
-pub use chaos::{ChaosConfig, ChaosNet, FaultSchedule, PanicOn, ProcessFaultPlan};
+pub use chaos::{ChaosNet, ChaosSpec, CrashConfig, FaultSchedule, PanicOn, PartitionWindow};
 pub use driver::{NodeDriver, ProcessDriver, StepReport};
 pub use clock::{Phase, Schedule, TimeView};
 pub use message::{Envelope, NodeId, OutputEvent, OutputLog, Payload};

@@ -156,6 +156,15 @@ pub enum OutputEvent {
     Custom(String),
 }
 
+impl OutputEvent {
+    /// Whether the engine's ground truth writes this line rather than the
+    /// node's program: `Compromised`/`Recovered` track Definitions 5–7,
+    /// which a daemon node cannot observe, so a daemon log never has them.
+    pub fn is_ground_truth(&self) -> bool {
+        matches!(self, OutputEvent::Compromised | OutputEvent::Recovered)
+    }
+}
+
 /// One node's timestamped output log.
 pub type OutputLog = Vec<(u64, OutputEvent)>;
 

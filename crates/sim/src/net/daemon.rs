@@ -19,8 +19,14 @@
 //!   `(round, sender, seq)` equal "senders in `NodeId` order, each sender's
 //!   outbox in send order", which is why a faithful daemon run is
 //!   bit-identical to `run_ul` under the same seed;
-//! * frames that miss their nominal round (adversary delay, pacing slip)
-//!   deliver in a later round — exactly the UL adversary's prerogative.
+//! * **delivery rounds** travel in the frame: a sender stamps `round + 1`,
+//!   the chaos proxy may restamp a later round (the UL adversary's
+//!   prerogative), and the receiver buffers the frame until that round. A
+//!   frame arrives before its sender's mark (stream FIFO), so only a mark
+//!   timeout or a rejoin can make it miss its round; it then delivers in
+//!   the next one. Late frames delivered in their stamped round are the
+//!   adversary's delays and are reported apart (`delayed_frames`), because
+//!   only those indict the receiver's links.
 
 use super::msg::{Alarm, HealthBeacon, NetMsg, NodeReport, Severity};
 use super::peer::{AddrPlan, Conn, NetListener, NetStream, PendingQueue};
@@ -160,11 +166,15 @@ struct SeqTrack {
     seen: Vec<u32>,
 }
 
-/// Protocol traffic buffered by the round it was sent in.
+/// A buffered round frame: `(send round, from, seq, payload)`; inboxes
+/// sort on the first three.
+type Buffered = (u64, NodeId, u32, Vec<u8>);
+
+/// Protocol traffic buffered by the round it is delivered in.
 #[derive(Default)]
 struct RoundBuffer {
-    /// `(round, from, seq, payload)` entries not yet delivered.
-    msgs: BTreeMap<u64, Vec<(NodeId, u32, Vec<u8>)>>,
+    /// Frames not yet delivered, keyed by delivery round.
+    msgs: BTreeMap<u64, Vec<Buffered>>,
     /// Received marks per round.
     marks: BTreeMap<u64, Vec<bool>>,
 }
@@ -602,6 +612,7 @@ impl<'d> NodeLoop<'d> {
             }
             NetMsg::Round {
                 round,
+                deliver,
                 seq,
                 from,
                 to,
@@ -625,9 +636,9 @@ impl<'d> NodeLoop<'d> {
                     track.last = Some(seq);
                     self.buf
                         .msgs
-                        .entry(round)
+                        .entry(deliver)
                         .or_default()
-                        .push((from, seq, payload));
+                        .push((round, from, seq, payload));
                 }
             }
             NetMsg::RoundMark { round, from } => {
@@ -931,25 +942,27 @@ impl<'d> NodeLoop<'d> {
             self.rounds_started = Some(round_start);
         }
         let late_before = self.report.late_frames;
-        // Deliveries: everything sent in an earlier round and not yet
-        // delivered. Frames older than the immediately preceding round were
-        // delayed past their nominal delivery — count them.
-        let eligible: Vec<u64> = self
-            .buf
-            .msgs
-            .range(..round)
-            .map(|(k, _)| *k)
-            .collect();
-        let mut entries: Vec<(u64, NodeId, u32, Vec<u8>)> = Vec::new();
-        for k in eligible {
-            if round > 0 && k < round - 1 {
-                let late = self.buf.msgs.get(&k).map(|v| v.len() as u64).unwrap_or(0);
-                self.report.late_frames += late;
-                self.tele.add("net/late_frames", late);
+        // Deliveries: everything due by this round and not yet delivered.
+        // Frames sent before the immediately preceding round are late. Of
+        // those, the ones delivered in the round stamped on them were
+        // delayed by the adversary; the rest missed their stamped round (a
+        // rejoiner's catch-up replay, or a frame behind a mark timeout).
+        let mut entries: Vec<Buffered> = Vec::new();
+        let (mut late, mut delayed) = (0u64, 0u64);
+        while let Some(due) = self.buf.msgs.first_entry().filter(|e| *e.key() <= round) {
+            let (deliver, frames) = due.remove_entry();
+            for f in &frames {
+                if f.0 + 1 < round {
+                    late += 1;
+                    delayed += u64::from(deliver == round);
+                }
             }
-            for (from, seq, payload) in self.buf.msgs.remove(&k).unwrap_or_default() {
-                entries.push((k, from, seq, payload));
-            }
+            entries.extend(frames);
+        }
+        if late > 0 {
+            self.report.late_frames += late;
+            self.report.delayed_frames += delayed;
+            self.tele.add("net/late_frames", late);
         }
         entries.sort_by_key(|a| (a.0, a.1, a.2));
         let inbox: Vec<Envelope> = entries
@@ -996,6 +1009,7 @@ impl<'d> NodeLoop<'d> {
                 self.report.bytes_sent += env.payload.len() as u64;
                 let msg = NetMsg::Round {
                     round,
+                    deliver: round + 1,
                     seq,
                     from: env.from,
                     to: env.to,
@@ -1171,6 +1185,7 @@ impl<'d> NodeLoop<'d> {
             lag_ms,
             inbox_depth: self.buf.msgs.values().map(|v| v.len() as u64).sum(),
             late_frames: self.report.late_frames,
+            delayed_frames: self.report.delayed_frames,
             mark_timeouts: self.report.mark_timeouts,
             peers_live: self.peers_live(),
             sent_round,

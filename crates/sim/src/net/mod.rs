@@ -15,8 +15,8 @@
 //! * [`peer`] — address plans, listeners, and framed non-blocking
 //!   connections with reconnect support;
 //! * [`daemon`] — the node process main loop (setup barriers, paced rounds);
-//! * [`proxy`] — the chaos proxy: deterministic delay/duplicate/reorder/
-//!   partition on real packets;
+//! * [`proxy`] — the chaos proxy: the shared [`crate::chaos::ChaosSpec`]
+//!   (delay, duplication, partition, socket resets) applied to real frames;
 //! * [`client`] — the collector that reassembles a `SimResult`-shaped
 //!   outcome (output logs, ROMs, reports, goodput) from the streams;
 //! * [`status`] — the live observability plane: the merged registry, health
@@ -30,8 +30,10 @@
 //! same bytes, randomness is the same per-(node, round) derivation, and
 //! inbox order is reproduced by sorting deliveries on `(round, sender, seq)`
 //! — so a faithful daemon run reaches outcomes bit-identical to `run_ul`
-//! under the same seed, and a chaos run stays within the UL adversary's
-//! legal actions (delay, duplication, reordering).
+//! under the same seed. A chaos run without socket resets or kills matches
+//! `run_ul` under [`crate::chaos::ChaosNet`] with the same spec just as
+//! exactly: the proxy stamps each frame with the delivery round the shared
+//! chaos model decides, and the receiver delivers it in exactly that round.
 
 pub mod client;
 pub mod daemon;
@@ -49,5 +51,5 @@ pub use frame::{encode_frame, FrameDecoder, FrameError, MAX_FRAME};
 pub use msg::{Alarm, HealthBeacon, NetMsg, NodeReport, Severity};
 pub use status::{LiveState, StatusConn, TraceAssembler, TraceSpec};
 pub use peer::{AddrPlan, Conn, Endpoint, NetListener, NetStream};
-pub use proxy::{run_proxy, ChaosNetSpec, PartitionWindow, Proxy, ProxyConfig, ProxyStats};
+pub use proxy::{run_proxy, Proxy, ProxyConfig, ProxyStats};
 pub use state::{Load, StateDir, Watermark};

@@ -6,6 +6,9 @@
 //! with `(round, seq)` so a receiver can reproduce the engine's inbox order
 //! exactly: deliveries sorted by (round, sender, seq) match the simulator's
 //! "senders in `NodeId` order, each sender's outbox in send order" merge.
+//! A round frame also carries the round it is delivered in — the next one,
+//! unless the chaos proxy restamped it — so delivery never depends on when
+//! the frame happens to arrive.
 //! Marks are the soft round barrier; events and reports stream each node's
 //! output log and final state to the collector.
 
@@ -50,9 +53,12 @@ pub enum NetMsg {
     },
     /// A post-setup protocol message.
     Round {
-        /// Round it was sent in (delivered the following round, or later if
-        /// the adversary delays it).
+        /// Round it was sent in.
         round: u64,
+        /// Round it is delivered in: `round + 1` as sent, later if the chaos
+        /// proxy delays it. Always above `round` — the decoder rejects a
+        /// frame that would schedule itself into the past.
+        deliver: u64,
         /// Index in the sender's expanded outbox this round.
         seq: u32,
         /// Claimed sender.
@@ -234,8 +240,12 @@ pub struct HealthBeacon {
     pub lag_ms: u64,
     /// Messages buffered for future rounds at beacon time.
     pub inbox_depth: u64,
-    /// Cumulative frames that arrived after their delivery round.
+    /// Cumulative frames delivered later than the round after they were
+    /// sent (see [`NodeReport::late_frames`]).
     pub late_frames: u64,
+    /// Cumulative late frames the adversary delayed (see
+    /// [`NodeReport::delayed_frames`]).
+    pub delayed_frames: u64,
     /// Cumulative rounds advanced on deadline expiry.
     pub mark_timeouts: u64,
     /// Peer connections currently open.
@@ -254,6 +264,7 @@ impl Encode for HealthBeacon {
         w.put_u64(self.lag_ms);
         w.put_u64(self.inbox_depth);
         w.put_u64(self.late_frames);
+        w.put_u64(self.delayed_frames);
         w.put_u64(self.mark_timeouts);
         w.put_u32(self.peers_live);
         w.put_u64(self.sent_round);
@@ -270,6 +281,7 @@ impl Decode for HealthBeacon {
             lag_ms: r.get_u64()?,
             inbox_depth: r.get_u64()?,
             late_frames: r.get_u64()?,
+            delayed_frames: r.get_u64()?,
             mark_timeouts: r.get_u64()?,
             peers_live: r.get_u32()?,
             sent_round: r.get_u64()?,
@@ -293,9 +305,13 @@ pub struct NodeReport {
     pub bytes_sent: u64,
     /// Alerts emitted.
     pub alerts: u64,
-    /// Frames that arrived after their nominal delivery round (adversary
-    /// delay, or pacing pressure) and were delivered in a later round.
+    /// Frames delivered later than the round after they were sent: the
+    /// adversary delayed or held them, or (after a mark timeout) they
+    /// missed their stamped round.
     pub late_frames: u64,
+    /// The late frames delivered in the round stamped on them: the
+    /// adversary scheduled them past the round after they were sent.
+    pub delayed_frames: u64,
     /// Rounds advanced on deadline expiry instead of a complete mark set.
     pub mark_timeouts: u64,
     /// Frames observed more than once (same `(round, from, seq)` key).
@@ -318,6 +334,7 @@ impl Encode for NodeReport {
         w.put_u64(self.bytes_sent);
         w.put_u64(self.alerts);
         w.put_u64(self.late_frames);
+        w.put_u64(self.delayed_frames);
         w.put_u64(self.mark_timeouts);
         w.put_u64(self.dup_frames);
         w.put_u64(self.reorder_frames);
@@ -336,6 +353,7 @@ impl Decode for NodeReport {
             bytes_sent: r.get_u64()?,
             alerts: r.get_u64()?,
             late_frames: r.get_u64()?,
+            delayed_frames: r.get_u64()?,
             mark_timeouts: r.get_u64()?,
             dup_frames: r.get_u64()?,
             reorder_frames: r.get_u64()?,
@@ -378,6 +396,7 @@ impl Encode for NetMsg {
             }
             NetMsg::Round {
                 round,
+                deliver,
                 seq,
                 from,
                 to,
@@ -385,6 +404,7 @@ impl Encode for NetMsg {
             } => {
                 w.put_u8(4);
                 w.put_u64(*round);
+                w.put_u64(*deliver);
                 w.put_u32(*seq);
                 from.encode(w);
                 to.encode(w);
@@ -466,13 +486,20 @@ impl Decode for NetMsg {
                 setup_round: r.get_u64()?,
                 from: NodeId::decode(r)?,
             },
-            4 => NetMsg::Round {
-                round: r.get_u64()?,
-                seq: r.get_u32()?,
-                from: NodeId::decode(r)?,
-                to: NodeId::decode(r)?,
-                payload: r.get_bytes()?,
-            },
+            4 => {
+                let (round, deliver) = (r.get_u64()?, r.get_u64()?);
+                if deliver <= round {
+                    return Err(WireError::OutOfRange);
+                }
+                NetMsg::Round {
+                    round,
+                    deliver,
+                    seq: r.get_u32()?,
+                    from: NodeId::decode(r)?,
+                    to: NodeId::decode(r)?,
+                    payload: r.get_bytes()?,
+                }
+            }
             5 => NetMsg::RoundMark {
                 round: r.get_u64()?,
                 from: NodeId::decode(r)?,
@@ -531,6 +558,7 @@ mod tests {
             },
             NetMsg::Round {
                 round: 40,
+                deliver: 43,
                 seq: 0,
                 from: NodeId(5),
                 to: NodeId(2),
@@ -556,6 +584,7 @@ mod tests {
                 bytes_sent: 123456,
                 alerts: 0,
                 late_frames: 3,
+                delayed_frames: 2,
                 mark_timeouts: 1,
                 dup_frames: 2,
                 reorder_frames: 4,
@@ -580,6 +609,7 @@ mod tests {
                 lag_ms: 4,
                 inbox_depth: 6,
                 late_frames: 1,
+                delayed_frames: 1,
                 mark_timeouts: 0,
                 peers_live: 4,
                 sent_round: 8,
@@ -630,5 +660,17 @@ mod tests {
         .map(|(i, b)| if i >= 9 { 0 } else { *b }) // zero the from field
         .collect::<Vec<u8>>();
         assert!(NetMsg::from_bytes(&bad).is_err());
+        // A round frame may not be delivered in or before its send round.
+        for deliver in [0, 39, 40] {
+            let past = NetMsg::Round {
+                round: 40,
+                deliver,
+                seq: 0,
+                from: NodeId(1),
+                to: NodeId(2),
+                payload: vec![7],
+            };
+            assert_eq!(NetMsg::from_bytes(&past.to_bytes()), Err(WireError::OutOfRange));
+        }
     }
 }

@@ -474,6 +474,7 @@ mod tests {
         let mut rx = Conn::new(NetStream::Unix(b));
         let msg = NetMsg::Round {
             round: 5,
+            deliver: 6,
             seq: 2,
             from: crate::message::NodeId(1),
             to: crate::message::NodeId(2),
@@ -529,6 +530,7 @@ mod tests {
         let mut rx = Conn::new(NetStream::Unix(b));
         tx.send_partial(&NetMsg::Round {
             round: 9,
+            deliver: 10,
             seq: 0,
             from: crate::message::NodeId(1),
             to: crate::message::NodeId(2),

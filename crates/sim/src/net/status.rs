@@ -351,7 +351,7 @@ pub struct LiveState {
     unit_impaired: BTreeMap<u64, BTreeSet<u32>>,
     /// Units whose budget alarm already fired.
     budget_fired: BTreeSet<u64>,
-    /// Last seen cumulative `(late_frames, mark_timeouts)` per node, for
+    /// Last seen cumulative `(delayed_frames, mark_timeouts)` per node, for
     /// detecting fresh impairment from beacons.
     last_transport: Vec<(u64, u64)>,
 }
@@ -382,9 +382,14 @@ impl LiveState {
     }
 
     /// Records a beacon: health bookkeeping plus impairment detection. A
-    /// node whose barrier gave up on a peer's mark lost round alignment and
-    /// was disrupted this unit; frames it merely *received* late charge the
-    /// slipped sender (whose own telemetry shows it), not this receiver.
+    /// node whose barrier gave up on a peer's mark lost round alignment, and
+    /// a node that received delayed frames (delivered in a stamped round
+    /// past the one after they were sent) had a link the adversary delayed
+    /// or cut. Either way one of its links was unreliable (Definition 4),
+    /// and the node is charged for the unit. Frames that merely missed
+    /// their stamped round — a restarted peer's catch-up replay — charge
+    /// nobody; the supervisor's `node_restarted` alarm charges the restarted
+    /// node itself.
     pub fn on_beacon(&mut self, idx: usize, beacon: HealthBeacon) {
         if idx >= self.n {
             return;
@@ -397,9 +402,9 @@ impl LiveState {
         }
         h.last_at = Some(now);
         h.beacons += 1;
-        let (late0, to0) = self.last_transport[idx];
-        let disrupted = beacon.mark_timeouts > to0;
-        self.last_transport[idx] = (late0.max(beacon.late_frames), beacon.mark_timeouts);
+        let (delayed0, to0) = self.last_transport[idx];
+        let disrupted = beacon.delayed_frames > delayed0 || beacon.mark_timeouts > to0;
+        self.last_transport[idx] = (delayed0.max(beacon.delayed_frames), beacon.mark_timeouts);
         let node = beacon.node;
         h.last = beacon;
         if disrupted {
@@ -872,12 +877,51 @@ mod tests {
         assert_eq!(st.alarms.len(), 1); // the alarm alone, no budget breach
         let (_, impaired) = st.budget_state();
         assert_eq!(impaired, 0);
-        // Late frames *received* don't impair the receiver either.
+        // Frames received after their stamped round (a restarted peer's
+        // catch-up replay) don't impair the receiver either.
         let mut b = beacon(1, 12);
         b.late_frames = 9;
         st.on_beacon(0, b);
         let (_, impaired) = st.budget_state();
         assert_eq!(impaired, 0);
+    }
+
+    #[test]
+    fn delayed_frames_charge_the_receiver() {
+        // Frames carry their delivery round, so a rise in a node's delayed
+        // frames means the adversary delayed or cut one of its links: the
+        // node is charged, and t+1 charged nodes breach the unit's budget.
+        let mut st = LiveState::new(4, 1, 10);
+        let mut b1 = beacon(1, 12);
+        b1.late_frames = 3;
+        b1.delayed_frames = 3;
+        st.on_beacon(0, b1.clone());
+        assert_eq!(st.budget_state(), (1, 1));
+        assert!(st.alarms.is_empty());
+        // The same cumulative count again is no fresh rise.
+        b1.round = 22;
+        st.on_beacon(0, b1);
+        assert_eq!(st.budget_state(), (1, 1));
+        let mut b2 = beacon(2, 13);
+        b2.late_frames = 1;
+        b2.delayed_frames = 1;
+        st.on_beacon(1, b2);
+        assert_eq!(st.budget_state(), (1, 2));
+        assert_eq!(st.alarms.len(), 1);
+        assert_eq!(st.alarms[0].kind, "budget_exceeded");
+        assert_eq!(st.alarms[0].severity, Severity::Critical);
+    }
+
+    #[test]
+    fn clean_beacons_charge_nobody() {
+        let mut st = LiveState::new(3, 0, 10);
+        for round in 0..30 {
+            for idx in 0..3 {
+                st.on_beacon(idx, beacon(idx as u32 + 1, round));
+            }
+        }
+        assert_eq!(st.budget_state(), (0, 0));
+        assert!(st.alarms.is_empty(), "{:?}", st.alarms);
     }
 
     #[test]

@@ -5,15 +5,17 @@
 //! sockets — the same code path `proauth serve` uses, minus `fork`. The
 //! faithful test demands bit-identical output logs and ROMs against
 //! `run_ul`; the chaos test routes everything through the adversarial proxy
-//! and checks model-level invariants instead (setup faithfulness, zero
-//! forgeries, progress under delay/duplication/reordering).
+//! and demands the same against `run_ul` under the engine's `ChaosNet` with
+//! the same spec, on top of the model-level invariants (setup faithfulness,
+//! zero forgeries, progress under delay, duplication and a partition).
 
 use proauth_sim::adversary::FaithfulUl;
+use proauth_sim::chaos::{ChaosNet, ChaosSpec, FaultSchedule, PartitionWindow};
 use proauth_sim::clock::Schedule;
 use proauth_sim::message::{NodeId, OutputEvent};
 use proauth_sim::net::{
-    collect, run_node, AddrPlan, ChaosNetSpec, CollectorConfig, DaemonOutcome, NodeNetConfig,
-    ProxyConfig, ProxyStats, TraceSpec,
+    collect, run_node, AddrPlan, CollectorConfig, DaemonOutcome, NodeNetConfig, ProxyConfig,
+    ProxyStats, TraceSpec,
 };
 use proauth_sim::process::{Process, RoundCtx, SetupCtx};
 use proauth_sim::runner::{run_ul, SimConfig, SimResult};
@@ -84,13 +86,15 @@ fn schedule() -> Schedule {
     Schedule::new(8, 2, 2)
 }
 
-fn engine_run(n: usize) -> SimResult {
+/// The engine run of the scenario, under the chaos model `spec`.
+fn engine_run(n: usize, spec: ChaosSpec) -> SimResult {
     let mut cfg = SimConfig::new(n, 1, schedule());
     cfg.seed = SEED;
     cfg.setup_rounds = SETUP_ROUNDS;
     cfg.total_rounds = TOTAL_ROUNDS;
     cfg.parallel = false;
-    run_ul(cfg, |id| HbNode { me: id }, &mut FaithfulUl)
+    let mut adv = ChaosNet::new(FaithfulUl, spec, FaultSchedule::default(), None, n);
+    run_ul(cfg, |id| HbNode { me: id }, &mut adv)
 }
 
 /// Same scenario as [`engine_run`], but with the flight recorder on;
@@ -118,7 +122,7 @@ fn temp_plan(tag: &str) -> (AddrPlan, PathBuf) {
 fn daemon_run(
     n: usize,
     plan: AddrPlan,
-    chaos: Option<ChaosNetSpec>,
+    chaos: Option<ChaosSpec>,
     obs: bool,
 ) -> (DaemonOutcome, Option<ProxyStats>) {
     let via_proxy = chaos.is_some();
@@ -187,7 +191,7 @@ fn daemon_run(
 
 #[test]
 fn faithful_daemon_matches_engine_bit_for_bit() {
-    let engine = engine_run(N);
+    let engine = engine_run(N, ChaosSpec::faithful());
     let (plan, dir) = temp_plan("mesh");
     let (outcome, _) = daemon_run(N, plan, None, false);
     let _ = std::fs::remove_dir_all(dir);
@@ -211,32 +215,54 @@ fn faithful_daemon_matches_engine_bit_for_bit() {
 #[test]
 fn chaos_proxy_preserves_model_invariants() {
     let n = 5;
-    let engine = engine_run(n);
-    let (plan, dir) = temp_plan("chaos");
-    let spec = ChaosNetSpec {
-        seed: 77,
-        delay_pct: 25,
-        delay_max: 2,
-        dup_pct: 10,
-        reorder_pct: 10,
-        reset_pct: 0,
-        partition: None,
-    };
-    let (outcome, proxy_stats) = daemon_run(n, plan, Some(spec), false);
-    let _ = std::fs::remove_dir_all(dir);
-    let stats = proxy_stats.expect("proxy ran");
+    for seed in [77u64, 78, 79] {
+        let spec = ChaosSpec {
+            seed,
+            delay_pct: 25,
+            delay_max: 3,
+            dup_pct: 10,
+            reset_pct: 0,
+            partition: Some(PartitionWindow {
+                start: 5,
+                end: 8,
+                split: 2,
+            }),
+        };
+        let (plan, dir) = temp_plan(&format!("chaos-{seed}"));
+        let (outcome, proxy_stats) = daemon_run(n, plan, Some(spec), false);
+        let _ = std::fs::remove_dir_all(dir);
+        check_chaos_run(n, spec, &outcome, proxy_stats.expect("proxy ran"));
+    }
+}
+
+fn check_chaos_run(n: usize, spec: ChaosSpec, outcome: &DaemonOutcome, stats: ProxyStats) {
+    let seed = spec.seed;
+    let engine = engine_run(n, spec);
 
     // The proxy actually manipulated traffic.
-    assert!(stats.delayed > 0, "chaos must delay some frames: {stats:?}");
-    assert!(stats.duplicated > 0, "chaos must duplicate some frames: {stats:?}");
+    assert!(stats.delayed > 0, "seed {seed}: chaos must delay some frames: {stats:?}");
+    assert!(stats.duplicated > 0, "seed {seed}: chaos must duplicate some frames: {stats:?}");
     assert!(stats.forwarded > 0);
 
     // Setup is adversary-free: ROMs still match the engine exactly.
-    assert_eq!(outcome.roms, engine.roms, "chaos must not touch setup");
+    assert_eq!(outcome.roms, engine.roms, "seed {seed}: chaos must not touch setup");
+
+    // Bit-identity with the engine under the same chaos spec: every frame
+    // was delivered in the round the shared fate function chose, so every
+    // node-emitted output event matches, as do the per-node alert counts.
+    // The engine's ground-truth Compromised/Recovered lines are its own, not
+    // the nodes'.
+    for (i, (got, want)) in outcome.outputs.iter().zip(&engine.outputs).enumerate() {
+        let want: Vec<_> = want.iter().filter(|(_, e)| !e.is_ground_truth()).cloned().collect();
+        assert_eq!(got, &want, "seed {seed}: node {} output log diverged", i + 1);
+    }
+    for (i, rep) in outcome.reports.iter().enumerate() {
+        assert_eq!(rep.alerts, engine.stats.alerts[i], "seed {seed}: node {} alerts", i + 1);
+    }
 
     // Zero forgeries: every accepted heartbeat is a message its claimed
-    // sender really sends (delay/dup/reorder can move or repeat heartbeats,
-    // never mint them).
+    // sender really sends (delay/dup can move or repeat heartbeats, never
+    // mint them).
     for (i, log) in outcome.outputs.iter().enumerate() {
         for (_, event) in log {
             if let OutputEvent::Accepted { from, msg } = event {
@@ -262,7 +288,7 @@ fn chaos_proxy_preserves_model_invariants() {
     let faithful_accepted = (n as u64) * (n as u64 - 1) * (TOTAL_ROUNDS - 1);
     assert!(
         accepted >= faithful_accepted / 2,
-        "accepted {accepted} of ~{faithful_accepted}"
+        "seed {seed}: accepted {accepted} of ~{faithful_accepted}"
     );
     let units = outcome.count_events(|e| matches!(e, OutputEvent::Custom(s) if s == "unit:1"));
     assert_eq!(units, n as u64, "every node must reach unit 1");
@@ -271,7 +297,7 @@ fn chaos_proxy_preserves_model_invariants() {
     }
     // Delayed frames were delivered late, and the receivers noticed.
     let late: u64 = outcome.reports.iter().map(|r| r.late_frames).sum();
-    assert!(late > 0, "delays must surface as late frames");
+    assert!(late > 0, "seed {seed}: delays must surface as late frames");
 }
 
 #[test]

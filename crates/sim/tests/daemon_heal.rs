@@ -123,6 +123,9 @@ fn node_cfg(me: NodeId, plan: &AddrPlan, state_root: &std::path::Path) -> NodeNe
     cfg.min_round_ms = 50;
     cfg.connect_timeout_ms = 30_000;
     cfg.state_dir = Some(state_root.to_path_buf());
+    // Stream beacons and alarms, so the collector's Definition-7 accounting
+    // sees the restart.
+    cfg.telemetry = true;
     cfg
 }
 
@@ -281,6 +284,21 @@ fn assert_healed(outcome: &DaemonOutcome, engine: &SimResult, full_replay: bool)
             .iter()
             .any(|a| (a.kind == "rejoin" || a.kind == "node_rejoined") && a.node == VICTIM.0),
         "rejoin must surface in the alarm stream: {:?}",
+        outcome.alarms
+    );
+
+    // No healthy peer is charged for it: the victim's replayed frames reach
+    // them after their stamped round, which is the restart's doing, not a
+    // link the adversary made unreliable, so the unit budget holds.
+    for (unit, nodes) in &outcome.unit_impairments {
+        assert!(
+            nodes.iter().all(|&node| node == VICTIM.0),
+            "unit {unit} charged healthy peers: {nodes:?}"
+        );
+    }
+    assert!(
+        !outcome.alarms.iter().any(|a| a.kind == "budget_exceeded"),
+        "one restart must not breach the budget: {:?}",
         outcome.alarms
     );
 

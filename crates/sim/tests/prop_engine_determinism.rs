@@ -290,6 +290,50 @@ fn results_identical_with_workload_generator_active() {
 }
 
 #[test]
+fn ul_results_identical_under_chaos_delivery() {
+    // The shared chaos model on top of the active adversary — delays of up
+    // to three rounds, duplication, and a partition held until it heals:
+    // parked messages and their release order must be as engine-invariant
+    // as everything else.
+    use proauth_sim::chaos::{ChaosNet, ChaosSpec, FaultSchedule, PartitionWindow};
+    let n = 8;
+    for seed in [0u64, 5, 9, 21] {
+        let spec = ChaosSpec {
+            seed,
+            delay_pct: 20,
+            delay_max: 3,
+            dup_pct: 10,
+            reset_pct: 0,
+            partition: Some(PartitionWindow {
+                start: 6,
+                end: 14,
+                split: 3,
+            }),
+        };
+        let run = |parallel: bool, threads: usize| {
+            let mut adv = ChaosNet::new(Chaos, spec, FaultSchedule::default(), None, n);
+            run_ul(
+                cfg(seed, n, parallel, threads),
+                |_| Chatter { counter: 0 },
+                &mut adv,
+            )
+        };
+        let serial = run(false, 0);
+        assert!(
+            serial.stats.messages_injected > 0,
+            "seed {seed}: duplicates must fire"
+        );
+        for threads in [1usize, 4] {
+            assert_identical(
+                &serial,
+                &run(true, threads),
+                &format!("chaos seed {seed} threads {threads}"),
+            );
+        }
+    }
+}
+
+#[test]
 fn transcripts_identical_when_recorded() {
     let n = 6;
     let mk = |parallel: bool| {

@@ -195,14 +195,15 @@ proptest! {
         node in 1u32..200,
         run_id in any::<u64>(),
         watermark in any::<u64>(),
-        rounds in proptest::collection::vec((any::<u64>(), any::<u32>()), 0..8),
+        rounds in proptest::collection::vec((0..u64::MAX, 1..64u64, any::<u32>()), 0..8),
         cuts in proptest::collection::vec(any::<usize>(), 0..10),
     ) {
         let mut msgs = vec![NetMsg::Hello { node, run_id }];
         msgs.push(NetMsg::Rejoin { node, run_id, watermark });
-        for (round, seq) in &rounds {
+        for (round, delay, seq) in &rounds {
             msgs.push(NetMsg::Round {
                 round: *round,
+                deliver: round.saturating_add(*delay),
                 seq: *seq,
                 from: NodeId(node),
                 to: NodeId(node % 7 + 1),
@@ -231,15 +232,19 @@ proptest! {
     fn netmsg_roundtrip_through_frames(
         node in 1u32..200,
         run_id in any::<u64>(),
-        round in any::<u64>(),
+        round in 0..u64::MAX,
+        deliver_seed in any::<u64>(),
         seq in any::<u32>(),
         to in 1u32..200,
         payload in proptest::collection::vec(any::<u8>(), 0..300),
     ) {
+        // Any delivery round after the send round is valid on the wire.
+        let deliver = round + 1 + deliver_seed % (u64::MAX - round);
         let msgs = [
             NetMsg::Hello { node, run_id },
             NetMsg::Round {
                 round,
+                deliver,
                 seq,
                 from: NodeId(node),
                 to: NodeId(to),
@@ -258,5 +263,16 @@ proptest! {
             let frame = dec.next_frame().unwrap().expect("frame present");
             prop_assert_eq!(&NetMsg::from_bytes(&frame).unwrap(), want);
         }
+        // A hostile frame cannot schedule itself into the past: a delivery
+        // round at or before the send round is rejected.
+        let past = NetMsg::Round {
+            round,
+            deliver: deliver_seed % (round + 1),
+            seq,
+            from: NodeId(node),
+            to: NodeId(to),
+            payload,
+        };
+        prop_assert!(NetMsg::from_bytes(&past.to_bytes()).is_err());
     }
 }

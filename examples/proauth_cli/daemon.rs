@@ -6,8 +6,9 @@
 use crate::flags::{fail, Flags, OrExit};
 use crate::scenario::{addr_arg, chaos_argv, chaos_spec, pace, serve_argv, Scenario};
 use proauth_crypto::group::Group;
+use proauth_sim::chaos::{ChaosSpec, FaultSchedule};
 use proauth_sim::message::{NodeId, OutputEvent};
-use proauth_sim::net::{AddrPlan, ChaosNetSpec, DaemonOutcome, StateDir};
+use proauth_sim::net::{AddrPlan, DaemonOutcome, StateDir};
 use std::process::exit;
 
 /// `serve`: one node of the deployment, as this process.
@@ -105,11 +106,10 @@ pub fn proxy_main(f: &Flags) -> ! {
     println!("proxy: n={} chaos: {}", sc.n, chaos_summary(&spec));
     finish("proxy", run_proxy(cfg), |stats| {
         println!(
-            "proxy: forwarded {} delayed {} duplicated {} reordered {} resets {} setup {} marks {}",
+            "proxy: forwarded {} delayed {} duplicated {} resets {} setup {} marks {}",
             stats.forwarded,
             stats.delayed,
             stats.duplicated,
-            stats.reordered,
             stats.resets,
             stats.setup_forwarded,
             stats.marks
@@ -118,13 +118,12 @@ pub fn proxy_main(f: &Flags) -> ! {
 }
 
 /// The chaos knobs as the proxy and the daemon print them.
-fn chaos_summary(spec: &ChaosNetSpec) -> String {
+fn chaos_summary(spec: &ChaosSpec) -> String {
     format!(
-        "delay {}%/{}r dup {}% reorder {}% reset {}% partition {:?}",
+        "delay {}%/{}r dup {}% reset {}% partition {:?}",
         spec.delay_pct,
         spec.delay_max,
         spec.dup_pct,
-        spec.reorder_pct,
         spec.reset_pct,
         spec.partition
     )
@@ -268,12 +267,15 @@ pub fn top_main(f: &Flags) -> ! {
     }
 }
 
-/// `--check`: runs the same scenario on the in-process engine and checks
-/// the outcome against the protocol's promises — certified keys match the
-/// engine's, every node made progress, and nothing was accepted that its
-/// claimed sender never sends; an undisturbed run must moreover match the
-/// engine bit for bit, output logs and stripped trace alike. Prints the
-/// verdict and returns whether it passed.
+/// `--check`: runs the same scenario on the in-process engine, under the
+/// same chaos spec, and checks the outcome against the protocol's promises —
+/// certified keys match the engine's, every node made progress, and nothing
+/// was accepted that its claimed sender never sends. A run without kills or
+/// socket resets (`identical`) must moreover match the engine bit for bit:
+/// every node-emitted output event and every node's alert count (the
+/// engine's ground-truth `Compromised`/`Recovered` lines are its own), plus
+/// the stripped trace when the network was faithful. Prints the verdict and
+/// returns whether it passed.
 ///
 /// Restarted nodes are read off the collector's `node_restarted` alarm
 /// stream (the supervisor emits one per respawn, stamped with the observed
@@ -282,9 +284,9 @@ pub fn top_main(f: &Flags) -> ! {
 /// for progress rather than completeness, and its liveness must be
 /// demonstrated *at or after* the restart round — proof that the respawned
 /// process caught up and the cluster still authenticates it.
-fn check_outcome(sc: &Scenario, outcome: &DaemonOutcome, disturbed: bool) -> bool {
+fn check_outcome(sc: &Scenario, outcome: &DaemonOutcome, spec: ChaosSpec, identical: bool) -> bool {
     println!("\nchecking against the in-process engine...");
-    let (engine, engine_trace) = sc.engine_run();
+    let (engine, engine_trace) = sc.engine_run(spec);
     let mut failures = Vec::new();
     // Certified keys: setup is adversary-free even under the chaos proxy, so
     // every ROM (v_cert and friends) must equal the engine's exactly.
@@ -374,15 +376,24 @@ fn check_outcome(sc: &Scenario, outcome: &DaemonOutcome, disturbed: bool) -> boo
             }
         }
     }
-    if !disturbed {
+    if identical {
         for id in NodeId::all(sc.n) {
-            if outcome.outputs[id.idx()] != engine.outputs[id.idx()] {
+            let node_emitted = engine.outputs[id.idx()]
+                .iter()
+                .filter(|(_, e)| !e.is_ground_truth());
+            if !outcome.outputs[id.idx()].iter().eq(node_emitted) {
                 failures.push(format!("{id} output log diverged from the engine"));
             }
+            if outcome.reports[id.idx()].alerts != engine.stats.alerts[id.idx()] {
+                failures.push(format!("{id} alert count diverged from the engine"));
+            }
         }
+    }
+    if identical && spec.is_faithful() {
         // Golden-trace guarantee, daemon edition: the collector-assembled
         // trace, stripped of wall-clock fields, must be byte-identical to the
-        // engine's flight recorder.
+        // engine's flight recorder. (Under chaos the engine's round footers
+        // count the adversary's drops and injections; the daemon's cannot.)
         use proauth_sim::telemetry::strip_wall_fields;
         match &outcome.trace {
             Some(trace) if strip_wall_fields(trace) != strip_wall_fields(&engine_trace) => {
@@ -405,10 +416,10 @@ fn check_outcome(sc: &Scenario, outcome: &DaemonOutcome, disturbed: bool) -> boo
         .flatten()
         .filter(|(_, e)| accepted(e))
         .count();
-    let how = if disturbed {
-        "chaos run"
-    } else {
+    let how = if identical {
         "bit-identical"
+    } else {
+        "chaos run"
     };
     println!(
         "check PASSED: certified keys match, zero forgeries, all nodes live \
@@ -482,7 +493,6 @@ fn local_nodes(f: &Flags, sc: &Scenario, serve_argv: impl Fn(u32) -> Vec<String>
 pub fn daemon_main(f: &Flags) -> ! {
     use crate::supervisor::{supervise, Slot};
     use proauth_sim::net::{Collector, NodeNetConfig};
-    use proauth_sim::ProcessFaultPlan;
 
     let mut sc = Scenario::from_flags(f).or_exit();
     if sc.addr.is_none() {
@@ -496,31 +506,29 @@ pub fn daemon_main(f: &Flags) -> ! {
     // Process-level chaos and the self-healing knobs. Kills only make sense
     // with durable state: a respawned node without a ROM image on disk would
     // try to re-run setup against a cluster whose setup barrier has passed.
-    let mut kill_plan = match f.value("kill") {
-        None => ProcessFaultPlan::default(),
+    let kill_plan = match f.value("kill") {
+        None => FaultSchedule::default(),
         Some("auto") => {
-            ProcessFaultPlan::kill_all_once(sc.n, sc.t, &sc.schedule(), sc.total_rounds(), sc.seed)
+            FaultSchedule::kill_all_once(sc.n, sc.t, &sc.schedule(), sc.total_rounds(), sc.seed)
                 .map_err(|e| format!("bad --kill auto: {e}"))
                 .or_exit()
         }
-        Some(plan) => ProcessFaultPlan::parse(plan)
+        Some(plan) => plan
+            .parse::<FaultSchedule>()
             .map_err(|e| format!("bad --kill: {e}"))
             .or_exit(),
     };
     let rounds = sc.total_rounds();
-    for &(round, victim) in &kill_plan.kills {
-        if victim == 0 || victim as usize > sc.n || round >= rounds {
+    for &(round, victim) in kill_plan.events() {
+        if victim.idx() >= sc.n || round >= rounds {
             fail(format!(
-                "--kill {victim}:{round} is out of range (n={}, rounds={rounds})",
-                sc.n
+                "--kill {}:{round} is out of range (n={}, rounds={rounds})",
+                victim.0, sc.n
             ));
         }
     }
-    let kills = !kill_plan.kills.is_empty();
-    if f.has("truncate-state") {
-        kill_plan.truncate = kill_plan.kills.iter().map(|&(_, v)| v).collect();
-        kill_plan.truncate.dedup();
-    }
+    let kills = !kill_plan.events().is_empty();
+    let truncate = f.has("truncate-state");
 
     // Every node process gets this config, but for its id. Observability is
     // on by default in daemon mode: each node folds its registry into
@@ -570,18 +578,14 @@ pub fn daemon_main(f: &Flags) -> ! {
     }
     if kills {
         let sched: Vec<String> = kill_plan
-            .kills
+            .events()
             .iter()
-            .map(|(r, v)| format!("{v}@r{r}"))
+            .map(|(r, v)| format!("{}@r{r}", v.0))
             .collect();
-        let truncate = if kill_plan.truncate.is_empty() {
-            "no"
-        } else {
-            "yes"
-        };
         println!(
-            "kill schedule: {} (truncate-state: {truncate})",
-            sched.join(" ")
+            "kill schedule: {} (truncate-state: {})",
+            sched.join(" "),
+            if truncate { "yes" } else { "no" }
         );
     }
 
@@ -619,7 +623,7 @@ pub fn daemon_main(f: &Flags) -> ! {
     }
 
     let state_root = node.state_dir.clone();
-    let supervisor = supervise(f, sc.seed, slots, kill_plan, state_root, &mut collector);
+    let supervisor = supervise(f, sc.seed, slots, kill_plan, truncate, state_root, &mut collector);
     let outcome = collector.run();
     let (child_failures, restarts_total) = supervisor();
     let outcome = outcome.unwrap_or_else(|e| {
@@ -654,11 +658,13 @@ pub fn daemon_main(f: &Flags) -> ! {
         }
     }
 
-    // Kill schedules disturb the run the same way link chaos does: the
-    // certified keys and safety properties must hold exactly, but per-round
-    // output logs are no longer bit-comparable (a rejoined node's log starts
-    // at its resume watermark).
-    if check && !check_outcome(&sc, &outcome, chaos || kills) {
+    // Link chaos is the engine's own adversary model, so a run under it is
+    // bit-comparable. Kills and socket resets are not: the certified keys
+    // and safety properties must hold exactly, but a rejoined node's log
+    // starts at its resume watermark, and a torn link delivers its frames
+    // whenever the redial lands.
+    let identical = !kills && spec.reset_pct == 0;
+    if check && !check_outcome(&sc, &outcome, spec, identical) {
         exit(1)
     }
     if !child_failures.is_empty() {

@@ -41,13 +41,12 @@ pub const CLOSED_LOOP: &str = "\
 --closed-loop           sweep the outstanding-request window instead
 --windows <list>        windows to sweep (default 1,2,4,8,16,32)";
 
-/// The proxy's chaos knobs (see `ChaosNetSpec`).
+/// The proxy's chaos knobs (see `ChaosSpec`).
 pub const CHAOS_NET: &str = "\
 --chaos-seed <int>      chaos decision seed (default 0)
 --delay <pct>           round frames delayed by extra rounds (default 0)
 --delay-max <rounds>    most extra rounds a delayed frame is held (default 2)
 --dup <pct>             round frames duplicated (default 0)
---reorder <pct>         round frames reordered (default 0)
 --reset <pct>           (round, node) links reset mid-frame (default 0)
 --partition <s:e:k>     cut nodes <= k from nodes > k during rounds [s, e)";
 

@@ -1,5 +1,5 @@
 //! The flag groups that cross process boundaries: the [`Scenario`] every
-//! subcommand shares, the proxy's [`ChaosNetSpec`] and a node process's
+//! subcommand shares, the proxy's [`ChaosSpec`] and a node process's
 //! [`NodeNetConfig`]. Each is parsed and validated once, and each `*argv`
 //! function is the exact inverse of its parser, so the daemon describes its
 //! children with the same values it parsed itself.
@@ -9,9 +9,10 @@ use proauth_core::authenticator::HeartbeatApp;
 use proauth_core::uls::{uls_schedule, AuthMode, UlsConfig, UlsNode, SETUP_ROUNDS};
 use proauth_crypto::group::{Group, GroupId};
 use proauth_sim::adversary::FaithfulUl;
+use proauth_sim::chaos::{ChaosNet, ChaosSpec, FaultSchedule, PartitionWindow};
 use proauth_sim::clock::Schedule;
 use proauth_sim::message::NodeId;
-use proauth_sim::net::{AddrPlan, ChaosNetSpec, NodeNetConfig, PartitionWindow, TraceSpec};
+use proauth_sim::net::{AddrPlan, NodeNetConfig, TraceSpec};
 use proauth_sim::runner::{run_ul, SimConfig, SimResult};
 use std::fmt::Display;
 use std::path::PathBuf;
@@ -143,14 +144,15 @@ impl Scenario {
         u64::from_be_bytes(d[..8].try_into().expect("8 of 32 digest bytes"))
     }
 
-    /// The equivalent faithful in-process engine run, for `--check`: its
-    /// result and its flight-recorder trace (JSONL).
-    pub fn engine_run(&self) -> (SimResult, String) {
+    /// The equivalent in-process engine run under the chaos model `spec`,
+    /// for `--check`: its result and its flight-recorder trace (JSONL).
+    pub fn engine_run(&self, spec: ChaosSpec) -> (SimResult, String) {
         let (telemetry, buf) = proauth_sim::Telemetry::with_memory_sink();
         let mut cfg = self.uls_config();
         cfg.telemetry = telemetry;
         let group = Group::new(self.group);
-        let result = run_ul(cfg, |id| self.uls_node(&group, id), &mut FaithfulUl);
+        let mut adv = ChaosNet::new(FaithfulUl, spec, FaultSchedule::default(), None, self.n);
+        let result = run_ul(cfg, |id| self.uls_node(&group, id), &mut adv);
         (result, proauth_sim::telemetry::memory_contents(&buf))
     }
 
@@ -202,7 +204,7 @@ pub fn addr_arg(plan: &AddrPlan) -> String {
 }
 
 /// Parses the chaos flags for an `n`-node scenario.
-pub fn chaos_spec(f: &Flags, n: usize) -> Result<ChaosNetSpec, String> {
+pub fn chaos_spec(f: &Flags, n: usize) -> Result<ChaosSpec, String> {
     let partition = f
         .value("partition")
         .map(str::parse::<PartitionWindow>)
@@ -212,25 +214,23 @@ pub fn chaos_spec(f: &Flags, n: usize) -> Result<ChaosNetSpec, String> {
             return Err(format!("--partition {p}: split must be below n={n}"));
         }
     }
-    Ok(ChaosNetSpec {
+    Ok(ChaosSpec {
         seed: f.get("chaos-seed", 0)?,
         delay_pct: f.get("delay", 0)?,
         delay_max: f.get("delay-max", 2)?,
         dup_pct: f.get("dup", 0)?,
-        reorder_pct: f.get("reorder", 0)?,
         reset_pct: f.get("reset", 0)?,
         partition,
     })
 }
 
 /// The inverse of [`chaos_spec`].
-pub fn chaos_argv(spec: &ChaosNetSpec) -> Vec<String> {
+pub fn chaos_argv(spec: &ChaosSpec) -> Vec<String> {
     let mut v = Vec::new();
     put(&mut v, "chaos-seed", spec.seed);
     put(&mut v, "delay", spec.delay_pct);
     put(&mut v, "delay-max", spec.delay_max);
     put(&mut v, "dup", spec.dup_pct);
-    put(&mut v, "reorder", spec.reorder_pct);
     put(&mut v, "reset", spec.reset_pct);
     if let Some(p) = spec.partition {
         put(&mut v, "partition", p);
@@ -318,16 +318,15 @@ mod tests {
 
     #[test]
     fn chaos_spec_survives_argv_round_trip() {
-        let calm = ChaosNetSpec {
+        let calm = ChaosSpec {
             delay_max: 2,
-            ..ChaosNetSpec::faithful()
+            ..ChaosSpec::faithful()
         };
-        let stormy = ChaosNetSpec {
+        let stormy = ChaosSpec {
             seed: 7,
             delay_pct: 20,
             delay_max: 3,
             dup_pct: 5,
-            reorder_pct: 5,
             reset_pct: 1,
             partition: Some(PartitionWindow {
                 start: 4,

@@ -4,7 +4,7 @@
 
 use crate::flags::{Flags, OrExit};
 use proauth_sim::net::{Alarm, Collector, Severity, StateDir};
-use proauth_sim::ProcessFaultPlan;
+use proauth_sim::FaultSchedule;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -77,8 +77,11 @@ struct Supervisor {
     max_restarts: usize,
     restart_window: Duration,
     backoff_ms: u64,
-    /// Kills fire in order; `truncate` victims lose their watermark first.
-    kill_plan: ProcessFaultPlan,
+    /// Kills fire in order, from `next_kill` on.
+    kill_plan: FaultSchedule,
+    next_kill: usize,
+    /// Whether a kill victim loses its watermark before its respawn.
+    truncate: bool,
     state_root: Option<PathBuf>,
     /// The highest beacon round the collector has seen.
     round_watch: Arc<AtomicU64>,
@@ -96,7 +99,8 @@ pub fn supervise(
     f: &Flags,
     seed: u64,
     slots: Vec<Slot>,
-    kill_plan: ProcessFaultPlan,
+    kill_plan: FaultSchedule,
+    truncate: bool,
     state_root: Option<PathBuf>,
     collector: &mut Collector,
 ) -> impl FnOnce() -> (Vec<String>, u64) {
@@ -111,6 +115,8 @@ pub fn supervise(
         restart_window: Duration::from_secs(f.get("restart-window", 60).or_exit()),
         backoff_ms: f.get("backoff-ms", 100).or_exit(),
         kill_plan,
+        next_kill: 0,
+        truncate,
         state_root,
         round_watch,
         alarm_tx,
@@ -126,7 +132,7 @@ pub fn supervise(
                 // Children self-terminate (round deadlines, idle
                 // timeouts); give the stragglers a grace period.
                 shutdown_deadline = Some(Instant::now() + Duration::from_secs(30));
-                sup.kill_plan.kills.clear();
+                sup.next_kill = sup.kill_plan.events().len();
             }
             sup.fire_due_kills();
             for i in 0..sup.slots.len() {
@@ -164,11 +170,12 @@ impl Supervisor {
     /// warning — the process-level analogue of the paper's break-in.
     fn fire_due_kills(&mut self) {
         let cur = self.round_watch.load(Ordering::Relaxed);
-        while let Some(&(round, victim)) = self.kill_plan.kills.first() {
+        while let Some(&(round, victim)) = self.kill_plan.events().get(self.next_kill) {
             if round > cur {
                 break;
             }
-            self.kill_plan.kills.remove(0);
+            self.next_kill += 1;
+            let victim = victim.0;
             let slot = self.slots.iter_mut().find(|s| s.node == victim);
             if let Some(State::Running(child)) = slot.map(|s| &mut s.state) {
                 println!(
@@ -239,9 +246,8 @@ impl Supervisor {
                 slot.restarts.push(Instant::now());
                 slot.attempt += 1;
                 let node = slot.node;
-                if let (true, Some(root)) =
-                    (self.kill_plan.truncate.contains(&node), &self.state_root)
-                {
+                let victim = self.kill_plan.events().iter().any(|e| e.1 .0 == node);
+                if let (true, Some(root)) = (self.truncate && victim, &self.state_root) {
                     match StateDir::open(root, node).and_then(|sd| sd.truncate_state_file()) {
                         Ok(true) => {
                             println!("supervisor: truncated node {node}'s watermark before respawn")

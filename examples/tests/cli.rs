@@ -34,6 +34,7 @@ fn flags_outside_a_subcommands_set_are_rejected() {
         (&["service", "--normal", "8"], &["--normal", "service"]),
         (&["--clusters", "--t", "3"], &["--t", "--clusters"]),
         (&["daemon", "--parallel"], &["--parallel", "daemon"]),
+        (&["daemon", "--reorder", "5"], &["--reorder"]),
         (
             &["service", "--closed-loop", "--rate", "3"],
             &["--rate", "--closed-loop"],

@@ -3,20 +3,19 @@
 //! not show through. One fixed scenario (n = 13, an active adversary mixing
 //! break-ins and random drops with a chaos layer of scheduled
 //! crash–restarts and chaotic delivery) is run on the serial engine and on
-//! worker
-//! pools of 1 and 4 threads; after stripping the `wall_*` fields (the only
+//! worker pools of 1 and 4 threads; after stripping the `wall_*` fields (the only
 //! nondeterministic bytes, by design) the three traces must be
 //! **byte-identical**, and so must the three `SimResult`s.
 //!
 //! This is the observability analogue of `prop_engine_determinism`: it
 //! pins not just the simulation outcome but the *recorded evidence* of it.
 
-use proauth_adversary::{CorruptMode, MobileBreakins, RandomDropper};
+use proauth_adversary::{Composed, CorruptMode, MobileBreakins, RandomDropper, Reorderer};
 use proauth_core::authenticator::HeartbeatApp;
 use proauth_core::uls::{uls_schedule, UlsConfig, UlsNode, SETUP_ROUNDS};
 use proauth_crypto::group::{Group, GroupId};
 use proauth_sim::adversary::{BreakPlan, NetView, UlAdversary};
-use proauth_sim::chaos::{ChaosConfig, ChaosNet};
+use proauth_sim::chaos::{ChaosNet, ChaosSpec, CrashConfig};
 use proauth_sim::clock::TimeView;
 use proauth_sim::message::{Envelope, NodeId};
 use proauth_sim::runner::{run_ul, SimConfig, SimResult};
@@ -63,21 +62,25 @@ fn run_traced(parallel: bool, threads: usize) -> (SimResult, String) {
         let c = UlsConfig::new(group.clone(), N, T);
         UlsNode::new(c, id, HeartbeatApp::default())
     };
-    // Chaos on top of the break-ins and drops: scheduled crash–restarts plus
-    // chaotic delivery (delay, duplication, reordering). Every knob at once —
-    // the trace must still be a pure function of (config, seed, adversary).
-    let chaos = ChaosConfig {
+    // Chaos on top of the break-ins and drops: scheduled crash–restarts,
+    // chaotic delivery (multi-round delay, duplication) and a reorderer on
+    // top. Every knob at once — the trace must still be a pure function of
+    // (config, seed, adversary).
+    let crash = CrashConfig {
         crash_p: 0.01,
         boundary_crash_p: 0.5,
         restart_after: Some(6),
         max_down: 2,
         presumed_down: None,
-        target: None,
-        delay_p: 0.02,
-        dup_p: 0.02,
-        reorder: true,
     };
-    let mut adv = ChaosNet::compile(
+    let spec = ChaosSpec {
+        seed: 0xC405,
+        delay_pct: 2,
+        delay_max: 3,
+        dup_pct: 2,
+        ..ChaosSpec::faithful()
+    };
+    let chaos = ChaosNet::compile(
         ActiveAdversary {
             breakins: MobileBreakins::rotating(
                 N,
@@ -90,12 +93,16 @@ fn run_traced(parallel: bool, threads: usize) -> (SimResult, String) {
             ),
             dropper: RandomDropper::new(0.02, 0xD20),
         },
-        chaos,
+        spec,
+        &crash,
         N,
         cfg.total_rounds,
         &schedule,
-        0xC405,
     );
+    let mut adv = Composed {
+        first: chaos,
+        second: Reorderer::new(0xC405),
+    };
     let result = run_ul(cfg, make_node, &mut adv);
     let raw = memory_contents(&buf);
     (result, strip_wall_fields(&raw))
